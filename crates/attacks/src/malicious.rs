@@ -26,7 +26,7 @@ use sc_core::{
     SecureMsg, Timestamp,
 };
 use sc_crypto::{Keypair, NodeId};
-use sc_sim::{Addr, CycleCtx, NodeCtx, RpcOutcome, SimNode};
+use sc_sim::{Addr, CycleCtx, NodeCtx, SimNode};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
@@ -367,7 +367,7 @@ impl MaliciousSecureNode {
             samples,
             proofs: Vec::new(),
         }));
-        if let RpcOutcome::Reply(SecureMsg::Accept(body)) = ctx.rpc(partner_addr, request) {
+        if let Some(SecureMsg::Accept(body)) = ctx.rpc(partner_addr, request) {
             let got_any = !body.transfers.is_empty();
             for t in body.transfers {
                 self.harvest_or_store(t, cycle);
@@ -381,7 +381,7 @@ impl MaliciousSecureNode {
                         partner_addr,
                         SecureMsg::Round(Box::new(RoundBody { transfer: out })),
                     ) {
-                        RpcOutcome::Reply(SecureMsg::RoundReply(r)) => match r.transfer {
+                        Some(SecureMsg::RoundReply(r)) => match r.transfer {
                             Some(d) => self.harvest_or_store(d, cycle),
                             None => break,
                         },
@@ -445,7 +445,7 @@ impl MaliciousSecureNode {
             samples: Vec::new(),
             proofs: Vec::new(),
         }));
-        if let RpcOutcome::Reply(SecureMsg::Accept(body)) = ctx.rpc(victim_addr, request) {
+        if let Some(SecureMsg::Accept(body)) = ctx.rpc(victim_addr, request) {
             let got_any = !body.transfers.is_empty();
             for t in body.transfers {
                 self.harvest_or_store(t, cycle);
@@ -461,7 +461,7 @@ impl MaliciousSecureNode {
                         victim_addr,
                         SecureMsg::Round(Box::new(RoundBody { transfer: out })),
                     ) {
-                        RpcOutcome::Reply(SecureMsg::RoundReply(r)) => match r.transfer {
+                        Some(SecureMsg::RoundReply(r)) => match r.transfer {
                             Some(d) => self.harvest_or_store(d, cycle),
                             None => break,
                         },

@@ -17,6 +17,10 @@
 //! As the passive party it validates redemption certificates (including
 //! the §V-A non-swappable restrictions), mirrors the exchange, and ships
 //! samples of its view plus its redemption cache (§V-C).
+//!
+//! The active side is three steps, [`SecureCyclonNode::begin_turn`],
+//! [`SecureCyclonNode::on_exchange_reply`] and [`SecureCyclonNode::end_turn`],
+//! driven by the simulator's synchronous RPCs or the daemon's frames.
 
 use crate::blacklist::Blacklist;
 use crate::checks::{Observation, SampleCache};
@@ -37,7 +41,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use sc_crypto::{FxHashMap, FxHashSet};
 use sc_crypto::{Keypair, NodeId};
-use sc_sim::{Addr, CycleCtx, NodeCtx, RpcOutcome, SimNode};
+use sc_sim::{Addr, CycleCtx, NodeCtx, SimNode};
 use std::collections::VecDeque;
 
 /// Per-node protocol counters, exposed for experiments and tests.
@@ -112,6 +116,22 @@ struct Session {
     cycle: u64,
 }
 
+/// The initiator's half of an exchange whose last message still awaits
+/// its reply: opened by [`SecureCyclonNode::begin_turn`], advanced and
+/// closed by [`SecureCyclonNode::on_exchange_reply`].
+struct Exchange {
+    partner_addr: Addr,
+    partner_id: NodeId,
+    /// Transfers each side makes in the whole exchange (§V-A rule 3).
+    quota: usize,
+    cycle: u64,
+    /// Round trips completed so far; the request is round 0.
+    round: usize,
+    /// Pre-transfer copies of what the unanswered message signed over
+    /// (the offered descriptors of a request, or a round's one transfer).
+    sent: Vec<SecureDescriptor>,
+}
+
 /// A correct SecureCyclon node.
 pub struct SecureCyclonNode {
     keypair: Keypair,
@@ -160,6 +180,8 @@ pub struct SecureCyclonNode {
     ns_accepted: (u64, u32),
     /// Open tit-for-tat exchanges, keyed by initiator address.
     sessions: FxHashMap<Addr, Session>,
+    /// This node's own exchange while it awaits a reply.
+    exchange: Option<Exchange>,
     /// Cycle in which the last NS back-fill was performed (creation of NS
     /// copies is rate-limited to one per cycle, mirroring §V-A rule 2 on
     /// the acceptance side).
@@ -245,6 +267,7 @@ impl SecureCyclonNode {
             ns_redeemed_ids: FxHashSet::default(),
             ns_accepted: (0, 0),
             sessions: FxHashMap::default(),
+            exchange: None,
             last_ns_backfill: None,
             emitted_cycle: None,
             backend: None,
@@ -357,11 +380,6 @@ impl SecureCyclonNode {
         self.backend.take()
     }
 
-    /// Whether a durable backend is attached.
-    pub fn has_backend(&self) -> bool {
-        self.backend.is_some()
-    }
-
     /// Latest cycle whose fresh-descriptor budget is spent (recovered
     /// across restarts when a backend is attached).
     pub fn last_emission(&self) -> Option<u64> {
@@ -390,7 +408,9 @@ impl SecureCyclonNode {
     /// Records a spent state digest, durably when a backend is attached
     /// (re-signing a restored copy would be cloning evidence).
     fn note_spent(&mut self, digest: sc_crypto::Digest, cycle: u64) {
-        self.spent_states.insert(digest, cycle);
+        if self.spent_states.insert(digest, cycle) == Some(cycle) {
+            return; // recorded when the continuation was signed
+        }
         if let Some(b) = self.backend.as_mut() {
             let _ = b.record_spent(&digest, cycle);
         }
@@ -475,22 +495,11 @@ impl SecureCyclonNode {
         self.samples.len()
     }
 
-    /// Number of owned descriptors parked in the reserve.
-    pub fn reserve_len(&self) -> usize {
-        self.reserve.len()
-    }
-
     /// Read-only view of the reserve: owned descriptors waiting for a view
     /// slot. Exposed so external invariant oracles can account for every
     /// live token the node holds.
     pub fn reserve(&self) -> impl Iterator<Item = &SecureDescriptor> {
         self.reserve.iter()
-    }
-
-    /// Number of pre-transfer copies retained from failed exchanges (the
-    /// first-priority non-swappable back-fill pool, §V-A).
-    pub fn pending_ns_len(&self) -> usize {
-        self.pending_ns.len()
     }
 
     /// Number of pre-transfer copies remembered from successful exchanges
@@ -503,11 +512,6 @@ impl SecureCyclonNode {
     /// (§V-C).
     pub fn redemption_count(&self) -> usize {
         self.redemptions.len()
-    }
-
-    /// Number of tit-for-tat sessions currently open on the passive side.
-    pub fn open_sessions(&self) -> usize {
-        self.sessions.len()
     }
 
     /// Protocol counters.
@@ -589,9 +593,12 @@ impl SecureCyclonNode {
             .collect()
     }
 
-    /// Validates and absorbs a batch of proofs (bootstrap synchronization).
+    /// Validates and absorbs a batch of proofs: bootstrap synchronization
+    /// and the proofs piggybacked on gossip messages.
     pub fn import_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {
-        self.process_proofs(proofs, cycle);
+        for p in proofs {
+            self.accept_remote_proof(p, cycle);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -657,23 +664,22 @@ impl SecureCyclonNode {
         true
     }
 
-    /// Sends queued proofs to every current neighbor (§IV-C flooding).
-    fn drain_floods(&mut self, send: &mut dyn FnMut(Addr, SecureMsg)) {
+    /// Addresses queued proofs to every current neighbor (§IV-C
+    /// flooding), counting their bytes as sent.
+    fn take_floods(&mut self) -> Vec<(Addr, SecureMsg)> {
+        let mut out = Vec::new();
         if self.outbox.is_empty() {
-            return;
+            return out;
         }
         let targets: Vec<Addr> = self.view.iter().map(|e| e.desc.addr()).collect();
         for proof in self.outbox.drain(..) {
             for &t in &targets {
-                send(t, SecureMsg::Proof(Box::new(proof.clone())));
+                let msg = SecureMsg::Proof(Box::new(proof.clone()));
+                self.stats.bytes_sent += wire::message_paper_bytes(&msg) as u64;
+                out.push((t, msg));
             }
         }
-    }
-
-    fn process_proofs(&mut self, proofs: Vec<ViolationProof>, cycle: u64) {
-        for p in proofs {
-            self.accept_remote_proof(p, cycle);
-        }
+        out
     }
 
     fn recent_proofs(&self, cycle: u64) -> Vec<ViolationProof> {
@@ -896,6 +902,26 @@ impl SecureCyclonNode {
         }
     }
 
+    /// Signs a random swappable view entry not created by `partner` over
+    /// to `partner` (a failed signature loses it) and returns the
+    /// pre-transfer copy with the transfer. The state is spent from the
+    /// signature on: a byte-identical copy that arrives, or is restored
+    /// after a crash, while the round awaits its reply must be refused.
+    fn trade_one(
+        &mut self,
+        partner: NodeId,
+        cycle: u64,
+    ) -> Option<(SecureDescriptor, SecureDescriptor)> {
+        let pre = self
+            .view
+            .remove_random_swappable_filtered(1, &mut self.rng, |d| d.creator() != partner)
+            .into_iter()
+            .next()?;
+        let out = pre.transfer(&self.keypair, partner).ok()?;
+        self.note_spent(pre.state_digest(), cycle);
+        Some((pre, out))
+    }
+
     /// Removes and returns the oldest non-blacklisted view entry.
     fn pick_oldest(&mut self) -> Option<crate::view::ViewEntry> {
         loop {
@@ -984,7 +1010,7 @@ impl SecureCyclonNode {
         }
 
         // -- learn from piggybacked proofs before trusting the peer ----
-        self.process_proofs(proofs, cycle);
+        self.import_proofs(proofs, cycle);
         if self.blacklist.contains(&redeemer) {
             self.stats.refused += 1;
             return None;
@@ -1126,18 +1152,10 @@ impl SecureCyclonNode {
         // Free our slot before storing the incoming transfer, so it can
         // take the slot directly instead of bouncing through the reserve.
         let partner = session.partner;
-        let reply = self
-            .view
-            .remove_random_swappable_filtered(1, &mut self.rng, |d| d.creator() != partner)
-            .into_iter()
-            .next()
-            .and_then(|pre| {
-                let out = pre.transfer(&self.keypair, partner).ok();
-                if out.is_some() {
-                    self.remember_transfer(pre, cycle);
-                }
-                out
-            });
+        let reply = self.trade_one(partner, cycle).map(|(pre, out)| {
+            self.remember_transfer(pre, cycle);
+            out
+        });
         self.accept_transfer(body.transfer, partner, cycle);
         if self.blacklist.contains(&partner) {
             self.sessions.remove(&from);
@@ -1161,15 +1179,25 @@ impl SecureCyclonNode {
     // Active side
     // ------------------------------------------------------------------
 
-    fn run_exchange<N: SimNode<Msg = SecureMsg>>(
-        &mut self,
-        ctx: &mut CycleCtx<'_, N>,
-        cycle: u64,
-        now: u64,
-    ) {
+    /// Opens this node's turn for `cycle`: prunes caches, back-fills the
+    /// view and, when the cycle's emission budget is unspent, starts an
+    /// exchange with the creator of the oldest view entry. Returns the
+    /// request and its destination, or `None` if the node sits the turn
+    /// out. The spent redeemed state and the emission marker are
+    /// persisted before the request is returned.
+    pub fn begin_turn(&mut self, cycle: u64, now: u64) -> Option<(Addr, SecureMsg)> {
+        debug_assert!(self.exchange.is_none(), "a turn is already in flight");
+        self.housekeeping(cycle);
+        self.backfill(cycle);
+        if !self.view.is_empty() {
+            self.was_connected = true;
+        }
+        if !self.may_emit(cycle) {
+            return None;
+        }
         let Some(entry) = self.pick_oldest() else {
             self.stats.idle_cycles += 1;
-            return;
+            return None;
         };
         let partner_id = entry.desc.creator();
         let partner_addr = entry.desc.addr();
@@ -1178,9 +1206,7 @@ impl SecureCyclonNode {
         } else {
             LinkKind::Redeem
         };
-        let Ok(redeemed) = entry.desc.redeem(&self.keypair, kind) else {
-            return;
-        };
+        let redeemed = entry.desc.redeem(&self.keypair, kind).ok()?;
         self.note_spent(entry.desc.state_digest(), cycle);
         // Keep the redeemed copy circulating as a sample (§V-C).
         self.redemptions.push(redeemed.clone(), cycle);
@@ -1192,14 +1218,12 @@ impl SecureCyclonNode {
         self.note_emission(cycle);
         let fresh_ts = Timestamp(now + self.phase);
         let fresh = SecureDescriptor::create(&self.keypair, self.addr, fresh_ts);
-        let Ok(fresh_out) = fresh.transfer(&self.keypair, partner_id) else {
-            return;
-        };
+        let fresh_out = fresh.transfer(&self.keypair, partner_id).ok()?;
         self.stats.transfers_sent += 1;
 
         let quota = self.exchange_quota(kind);
         let mut offered = Vec::new();
-        let mut offered_pre = Vec::new();
+        let mut sent = Vec::new();
         if !self.cfg.tit_for_tat {
             for pre in self.view.remove_random_swappable_filtered(
                 quota.saturating_sub(1),
@@ -1209,7 +1233,7 @@ impl SecureCyclonNode {
                 if let Ok(t) = pre.transfer(&self.keypair, partner_id) {
                     self.stats.transfers_sent += 1;
                     offered.push(t);
-                    offered_pre.push(pre);
+                    sent.push(pre);
                 }
             }
         }
@@ -1223,101 +1247,113 @@ impl SecureCyclonNode {
         }));
         self.stats.initiated += 1;
         self.stats.bytes_sent += wire::message_paper_bytes(&request) as u64;
-        let outcome = ctx.rpc(partner_addr, request);
-        if let RpcOutcome::Reply(reply) = &outcome {
-            self.stats.bytes_received += wire::message_paper_bytes(reply) as u64;
-        }
-        match outcome {
-            RpcOutcome::Reply(SecureMsg::Accept(body)) => {
-                self.stats.completed += 1;
-                let AcceptBody {
-                    transfers,
-                    samples,
-                    proofs,
-                } = *body;
-                self.process_proofs(proofs, cycle);
-                for s in &samples {
-                    self.absorb_sample(s, cycle);
-                }
-                if self.blacklist.contains(&partner_id) {
-                    return;
-                }
-                for pre in offered_pre {
-                    self.remember_transfer(pre, cycle);
-                }
-                let expect = if self.cfg.tit_for_tat { 1 } else { quota };
-                let got_any = !transfers.is_empty();
-                let incoming: Vec<&SecureDescriptor> = transfers.iter().take(expect).collect();
-                self.prewarm_verify(&incoming);
-                for t in transfers.into_iter().take(expect) {
-                    self.accept_transfer(t, partner_id, cycle);
-                }
-                if self.cfg.tit_for_tat && got_any {
-                    self.run_tft_rounds(ctx, partner_addr, partner_id, quota, cycle);
-                }
-            }
-            RpcOutcome::Reply(_) | RpcOutcome::Timeout => {
-                // §V-A cases 1 and 2: the redeemed descriptor is spent and
-                // the fresh one may or may not have been delivered; the
-                // view descriptors shipped alongside cannot be reused as
-                // owned, but non-swappable copies may be retained.
-                self.stats.timeouts += 1;
-                for pre in offered_pre {
-                    self.lose_to_ns(pre, cycle);
-                }
-            }
-        }
+        self.exchange = Some(Exchange {
+            partner_addr,
+            partner_id,
+            quota,
+            cycle,
+            round: 0,
+            sent,
+        });
+        Some((partner_addr, request))
     }
 
-    fn run_tft_rounds<N: SimNode<Msg = SecureMsg>>(
-        &mut self,
-        ctx: &mut CycleCtx<'_, N>,
-        partner_addr: Addr,
-        partner_id: NodeId,
-        quota: usize,
-        cycle: u64,
-    ) {
-        for _round in 1..quota {
-            let Some(pre) = self
-                .view
-                .remove_random_swappable_filtered(1, &mut self.rng, |d| d.creator() != partner_id)
-                .into_iter()
-                .next()
-            else {
-                return; // nothing left to trade
-            };
-            let Ok(out) = pre.transfer(&self.keypair, partner_id) else {
-                return;
-            };
-            self.stats.transfers_sent += 1;
-            let round = SecureMsg::Round(Box::new(RoundBody { transfer: out }));
-            self.stats.bytes_sent += wire::message_paper_bytes(&round) as u64;
-            let outcome = ctx.rpc(partner_addr, round);
-            if let RpcOutcome::Reply(reply) = &outcome {
-                self.stats.bytes_received += wire::message_paper_bytes(reply) as u64;
-            }
-            match outcome {
-                RpcOutcome::Reply(SecureMsg::RoundReply(reply)) => match reply.transfer {
-                    Some(d) => {
-                        self.remember_transfer(pre, cycle);
-                        self.accept_transfer(d, partner_id, cycle);
-                    }
-                    None => {
-                        // Partner quit halfway: our transfer is gone, keep
-                        // a non-swappable copy (§V-A).
-                        self.lose_to_ns(pre, cycle);
-                        return;
-                    }
-                },
-                RpcOutcome::Reply(_) | RpcOutcome::Timeout => {
+    /// Feeds the partner's answer to the message last returned by
+    /// [`SecureCyclonNode::begin_turn`] or by this method; `None` means
+    /// the partner did not answer in time. Returns the next tit-for-tat
+    /// round to send, or `None` once the exchange is over.
+    ///
+    /// A missing or malformed answer is §V-A cases 1 and 2: whatever the
+    /// unanswered message signed over cannot be reused as owned, but a
+    /// non-swappable copy may be kept.
+    pub fn on_exchange_reply(&mut self, reply: Option<SecureMsg>) -> Option<(Addr, SecureMsg)> {
+        let mut ex = self.exchange.take()?;
+        if let Some(r) = &reply {
+            self.stats.bytes_received += wire::message_paper_bytes(r) as u64;
+        }
+        let cycle = ex.cycle;
+        let partner_id = ex.partner_id;
+        let sent = std::mem::take(&mut ex.sent);
+        if ex.round == 0 {
+            let Some(SecureMsg::Accept(body)) = reply else {
+                self.stats.timeouts += 1;
+                for pre in sent {
                     self.lose_to_ns(pre, cycle);
-                    return;
                 }
+                return None;
+            };
+            self.stats.completed += 1;
+            let AcceptBody {
+                transfers,
+                samples,
+                proofs,
+            } = *body;
+            self.import_proofs(proofs, cycle);
+            for s in &samples {
+                self.absorb_sample(s, cycle);
             }
             if self.blacklist.contains(&partner_id) {
-                return;
+                return None;
+            }
+            for pre in sent {
+                self.remember_transfer(pre, cycle);
+            }
+            let expect = if self.cfg.tit_for_tat { 1 } else { ex.quota };
+            let got_any = !transfers.is_empty();
+            let incoming: Vec<&SecureDescriptor> = transfers.iter().take(expect).collect();
+            self.prewarm_verify(&incoming);
+            for t in transfers.into_iter().take(expect) {
+                self.accept_transfer(t, partner_id, cycle);
+            }
+            if !(self.cfg.tit_for_tat && got_any) {
+                return None;
+            }
+        } else {
+            let pre = sent.into_iter().next()?;
+            let Some(SecureMsg::RoundReply(body)) = reply else {
+                self.lose_to_ns(pre, cycle);
+                return None;
+            };
+            let Some(d) = body.transfer else {
+                // Partner quit halfway: our transfer is gone, keep a
+                // non-swappable copy (§V-A).
+                self.lose_to_ns(pre, cycle);
+                return None;
+            };
+            self.remember_transfer(pre, cycle);
+            self.accept_transfer(d, partner_id, cycle);
+            if self.blacklist.contains(&partner_id) {
+                return None;
             }
         }
+
+        // The next tit-for-tat round, while both sides owe transfers.
+        ex.round += 1;
+        if ex.round >= ex.quota {
+            return None;
+        }
+        // Nothing left to trade ends the exchange.
+        let (pre, out) = self.trade_one(partner_id, cycle)?;
+        self.stats.transfers_sent += 1;
+        let round = SecureMsg::Round(Box::new(RoundBody { transfer: out }));
+        self.stats.bytes_sent += wire::message_paper_bytes(&round) as u64;
+        ex.sent.push(pre);
+        let to = ex.partner_addr;
+        self.exchange = Some(ex);
+        Some((to, round))
+    }
+
+    /// Closes the turn for `cycle`: back-fills the view, sends §V-A
+    /// rejoin pings if starved, floods queued proofs, and checkpoints.
+    /// Returns the one-way messages to send, in order.
+    pub fn end_turn(&mut self, cycle: u64) -> Vec<(Addr, SecureMsg)> {
+        debug_assert!(self.exchange.is_none(), "the exchange is still in flight");
+        self.backfill(cycle);
+        let mut out = Vec::new();
+        self.rejoin_pings(cycle, &mut out);
+        out.extend(self.take_floods());
+        self.checkpoint(cycle);
+        out
     }
 }
 
@@ -1331,27 +1367,17 @@ const JOIN_GRANT_GAP_CYCLES: u64 = 4;
 
 impl SecureCyclonNode {
     /// The active-thread logic, generic over the hosting node type so that
-    /// wrapper enums (mixed honest/malicious networks) can delegate.
+    /// wrapper enums (mixed honest/malicious networks) can delegate: one
+    /// turn driven through the engine's synchronous RPCs.
     pub fn on_cycle_any<N: SimNode<Msg = SecureMsg>>(&mut self, ctx: &mut CycleCtx<'_, N>) {
         let cycle = ctx.cycle();
-        let now = ctx.now();
-        self.housekeeping(cycle);
-        self.backfill(cycle);
-        if !self.view.is_empty() {
-            self.was_connected = true;
+        let mut next = self.begin_turn(cycle, ctx.now());
+        while let Some((to, msg)) = next {
+            next = self.on_exchange_reply(ctx.rpc(to, msg));
         }
-        if self.may_emit(cycle) {
-            self.run_exchange(ctx, cycle, now);
+        for (to, msg) in self.end_turn(cycle) {
+            ctx.send(to, msg);
         }
-        self.backfill(cycle);
-        self.maybe_rejoin_ping(ctx, cycle);
-        let mut sends: Vec<(Addr, SecureMsg)> = Vec::new();
-        self.drain_floods(&mut |a, m| sends.push((a, m)));
-        for (a, m) in sends {
-            self.stats.bytes_sent += wire::message_paper_bytes(&m) as u64;
-            ctx.send(a, m);
-        }
-        self.checkpoint(cycle);
     }
 
     /// §V-A re-sponsorship initiated by the starved node itself: a node
@@ -1360,11 +1386,7 @@ impl SecureCyclonNode {
     /// pings a few recently sampled creator addresses asking to be
     /// sponsored back in. Receivers answer with a [`SecureMsg::JoinGrant`]
     /// processed in [`SecureCyclonNode::on_oneway_any`].
-    fn maybe_rejoin_ping<N: SimNode<Msg = SecureMsg>>(
-        &mut self,
-        ctx: &mut CycleCtx<'_, N>,
-        cycle: u64,
-    ) {
+    fn rejoin_pings(&mut self, cycle: u64, out: &mut Vec<(Addr, SecureMsg)>) {
         if !self.was_connected || !self.starved() {
             return;
         }
@@ -1390,12 +1412,11 @@ impl SecureCyclonNode {
             return;
         }
         let (chosen, _) = candidates.partial_shuffle(&mut self.rng, REJOIN_FANOUT);
-        let targets: Vec<Addr> = chosen.to_vec();
-        for addr in targets {
+        for &addr in chosen.iter() {
             let ping = SecureMsg::JoinPing(Box::new(JoinPingBody { joiner: self.id }));
             self.stats.bytes_sent += wire::message_paper_bytes(&ping) as u64;
             self.stats.rejoin_pings += 1;
-            ctx.send(addr, ping);
+            out.push((addr, ping));
         }
         self.last_rejoin_ping = Some(cycle);
     }
@@ -1457,10 +1478,7 @@ impl SecureCyclonNode {
         if let Some(r) = &reply {
             self.stats.bytes_sent += wire::message_paper_bytes(r) as u64;
         }
-        let mut sends: Vec<(Addr, SecureMsg)> = Vec::new();
-        self.drain_floods(&mut |a, m| sends.push((a, m)));
-        for (a, m) in sends {
-            self.stats.bytes_sent += wire::message_paper_bytes(&m) as u64;
+        for (a, m) in self.take_floods() {
             ctx.send(a, m);
         }
         reply
@@ -1479,17 +1497,14 @@ impl SecureCyclonNode {
             }
             SecureMsg::JoinGrant(body) => {
                 let JoinGrantBody { descriptor, proofs } = *body;
-                self.process_proofs(proofs, cycle);
+                self.import_proofs(proofs, cycle);
                 if self.accept_sponsorship(descriptor, cycle) {
                     self.was_connected = true;
                 }
             }
             _ => return,
         }
-        let mut sends: Vec<(Addr, SecureMsg)> = Vec::new();
-        self.drain_floods(&mut |a, m| sends.push((a, m)));
-        for (a, m) in sends {
-            self.stats.bytes_sent += wire::message_paper_bytes(&m) as u64;
+        for (a, m) in self.take_floods() {
             ctx.send(a, m);
         }
     }
@@ -1613,6 +1628,47 @@ mod tests {
         let returned = onward.transfer(next, holder.public()).unwrap();
         node.accept_transfer(returned, next.public(), 2);
         assert_eq!(node.view.len(), 1, "legitimate return accepted");
+    }
+
+    #[test]
+    fn state_traded_in_an_unanswered_round_is_refused_as_a_replay() {
+        // A daemon serves requests while its own exchange awaits a reply.
+        // A state signed over in the unanswered round is already spent:
+        // taking a byte-identical copy back would let the node sign it a
+        // second time, a cloning proof against itself.
+        let kps = keypairs(3);
+        let (creator, holder, partner) = (&kps[0], &kps[1], &kps[2]);
+        let cfg = small_cfg();
+        let tpc = cfg.ticks_per_cycle;
+        let mut node = SecureCyclonNode::new(holder.clone(), 1, cfg, [7u8; 32], 0);
+        let handed = |from: &Keypair, addr: Addr, t: u64| {
+            SecureDescriptor::create(from, addr, Timestamp(t))
+                .transfer(from, holder.public())
+                .unwrap()
+        };
+        assert!(node.accept_bootstrap(handed(partner, 2, 0)));
+        let traded = handed(creator, 0, tpc);
+        assert!(node.accept_bootstrap(traded.clone()));
+
+        // The oldest entry is the partner's: redeem it, get one transfer
+        // back, and trade the creator's descriptor in round 1.
+        let cycle = 10;
+        let (to, _) = node.begin_turn(cycle, cycle * tpc).expect("request");
+        assert_eq!(to, 2);
+        let accept = SecureMsg::Accept(Box::new(AcceptBody {
+            transfers: vec![handed(partner, 2, cycle * tpc)],
+            samples: Vec::new(),
+            proofs: Vec::new(),
+        }));
+        assert!(node.on_exchange_reply(Some(accept)).is_some(), "round 1");
+
+        let rejected = node.stats.transfers_rejected;
+        node.accept_transfer(traded, creator.public(), cycle);
+        assert_eq!(node.stats.transfers_rejected, rejected + 1);
+        assert!(node
+            .view
+            .iter()
+            .all(|e| e.desc.creator() != creator.public()));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::view::View;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use sc_crypto::NodeId;
-use sc_sim::{Addr, CycleCtx, NodeCtx, RpcOutcome, SimNode};
+use sc_sim::{Addr, CycleCtx, NodeCtx, SimNode};
 
 /// Protocol parameters shared by all correct nodes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -170,11 +170,11 @@ impl CyclonNode {
                 descriptors: offered,
             },
         ) {
-            RpcOutcome::Reply(CyclonMsg::ShuffleResponse { descriptors }) => {
+            Some(CyclonMsg::ShuffleResponse { descriptors }) => {
                 self.stats.completed += 1;
                 self.merge(descriptors, &removed);
             }
-            RpcOutcome::Reply(_) | RpcOutcome::Timeout => {
+            _ => {
                 // Unreachable partner (§V-A case 1): the redeemed descriptor
                 // is dropped; in *legacy* Cyclon the shipped descriptors may
                 // be safely retained since nothing forbids reuse.

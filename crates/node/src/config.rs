@@ -210,11 +210,32 @@ impl NodeConfig {
         if cfg.cycle_ms == 0 {
             return Err("--cycle-ms must be positive".into());
         }
-        if addr > u16::MAX as Addr || addr == 0 {
+        if !is_port(addr.into()) {
             return Err("--addr must be a TCP port (1..=65535)".into());
+        }
+        if cfg.sponsor.is_some_and(|s| !is_port(s.into())) {
+            return Err("--sponsor must be a TCP port (1..=65535)".into());
+        }
+        let ring_end = u64::from(cfg.base_addr) + cfg.cluster_size as u64;
+        if cfg.cluster_size > 0 && !(is_port(cfg.base_addr.into()) && is_port(ring_end - 1)) {
+            return Err("--base-addr + --cluster-size - 1 must be a TCP port (1..=65535)".into());
+        }
+        if cfg.secure.swap_len == 0 || cfg.secure.swap_len > cfg.secure.view_len {
+            return Err("--swap-len must be between 1 and --view-len".into());
+        }
+        // Resends go out every `rpc_timeout / (rpc_retransmits + 1)`: a
+        // slice under 1 ms would resend on every poll pass, and a zero
+        // timeout would time out every RPC.
+        let slices = cfg.rpc_retransmits.checked_add(1);
+        if slices.is_none_or(|n| cfg.rpc_timeout / n < Duration::from_millis(1)) {
+            return Err("--rpc-timeout-ms must be positive and above --rpc-retransmits".into());
         }
         Ok(cfg)
     }
+}
+
+fn is_port(p: u64) -> bool {
+    (1..=u64::from(u16::MAX)).contains(&p)
 }
 
 fn parse_num<T: std::str::FromStr>(s: &str, flag: &str) -> Result<T, String> {
@@ -290,5 +311,21 @@ mod tests {
         assert!(NodeConfig::parse(&args("--port 1")).is_err());
         assert!(NodeConfig::parse(&args("")).is_err());
         assert!(NodeConfig::parse(&args("--addr 70000")).is_err());
+        // A retransmit count whose `+ 1` wraps.
+        assert!(NodeConfig::parse(&args("--addr 41000 --rpc-retransmits 4294967295")).is_err());
+        // More retransmits than milliseconds: resend slices under 1 ms.
+        let slices = |r: u32| format!("--addr 41000 --rpc-timeout-ms 10 --rpc-retransmits {r}");
+        assert!(NodeConfig::parse(&args(&slices(11))).is_err());
+        assert!(NodeConfig::parse(&args(&slices(9))).is_ok());
+        // Every RPC would time out.
+        assert!(NodeConfig::parse(&args("--addr 41000 --rpc-timeout-ms 0")).is_err());
+        // Swap lengths `SecureConfig::validated` would panic on at boot.
+        assert!(NodeConfig::parse(&args("--addr 41000 --swap-len 0")).is_err());
+        assert!(NodeConfig::parse(&args("--addr 41000 --view-len 4 --swap-len 5")).is_err());
+        // Ports beyond u16 would be dialed truncated.
+        assert!(NodeConfig::parse(&args("--addr 41000 --sponsor 70000")).is_err());
+        let ring = |n: usize| format!("--addr 65530 --base-addr 65530 --cluster-size {n}");
+        assert!(NodeConfig::parse(&args(&ring(7))).is_err());
+        assert!(NodeConfig::parse(&args(&ring(6))).is_ok());
     }
 }

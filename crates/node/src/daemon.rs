@@ -1,20 +1,22 @@
 //! The event loop: a `SecureCyclonNode` on a real socket.
 //!
 //! Single-threaded by construction — the paper's node alternates between
-//! one active gossip turn per cycle and passive request handling, so one
-//! loop suffices:
+//! one active gossip turn per cycle and passive request handling, and
+//! one loop serves both:
 //!
 //! 1. A wall-clock shared across the cluster (`--epoch-millis`) maps
 //!    real time to cycle numbers; each new cycle fires one active turn.
-//! 2. The turn runs the *engine-targeted* `on_cycle_any` unchanged,
-//!    behind a [`TurnDriver`] that carries its synchronous RPCs over TCP
-//!    frames. Frames that arrive while the turn blocks on a reply are
-//!    deferred and handled right after the turn — the same
-//!    mid-turn-busy semantics the simulator enforces, with the same
-//!    consequence: a busy peer looks like a timeout, which §V-A already
-//!    tolerates (discard, never clone).
-//! 3. Between turns the loop serves passive RPCs, proof floods, §V-A
-//!    join handshakes, and control-socket scrapes.
+//! 2. A turn runs the node's explicit steps. `begin_turn` yields the
+//!    exchange request; the loop sends it and keeps it as the one
+//!    outstanding request (frame, deadline, resend schedule). The
+//!    matching `Reply` frame feeds `on_exchange_reply`, and so does a
+//!    passed deadline, as a timeout; each tit-for-tat round goes out the
+//!    same way until the exchange ends, then `end_turn` yields the turn's
+//!    one-way sends. No new turn fires while a request is outstanding.
+//! 3. Every other frame is handled as it arrives, in a turn or between
+//!    turns: passive RPCs, proof floods, §V-A join handshakes, and
+//!    control-socket scrapes. A node waiting on its own partner still
+//!    answers everyone else.
 //!
 //! Founding members compute the ring bootstrap locally from the shared
 //! cluster seed — a zero-message legal bootstrap. Late joiners and
@@ -26,10 +28,13 @@ use crate::control::StatusReport;
 use crate::fault::FaultTransport;
 use crate::frame::{Frame, FrameKind};
 use crate::transport::{ConnId, Inbound, TcpTransport, Transport};
-use sc_core::wire::{self, WireError};
-use sc_core::{ring_bootstrap, FaultSpec, SecureCyclonNode, SecureMsg};
+use sc_core::wire;
+use sc_core::{
+    ring_bootstrap, FaultSpec, JoinGrantBody, SecureCyclonNode, SecureDescriptor, SecureMsg,
+    ViolationProof,
+};
 use sc_crypto::{PublicKey, PUBLIC_KEY_LEN};
-use sc_sim::{testkit::with_node_ctx, Addr, CycleCtx, RpcOutcome, TurnDriver};
+use sc_sim::{testkit::with_node_ctx, Addr};
 use std::collections::VecDeque;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -49,6 +54,18 @@ pub struct RunSummary {
 /// Cap on cached replies served to retransmitted requests.
 const REPLY_CACHE_CAP: usize = 32;
 
+/// The exchange message awaiting its reply.
+struct Outstanding {
+    /// Cycle of the turn the exchange belongs to.
+    cycle: u64,
+    to: Addr,
+    /// The request frame; a retransmission resends it byte for byte.
+    frame: Frame,
+    deadline: Instant,
+    next_resend: Instant,
+    resends_left: u32,
+}
+
 /// A running SecureCyclon daemon.
 pub struct Daemon {
     cfg: NodeConfig,
@@ -66,7 +83,7 @@ pub struct Daemon {
     /// would hand out a provable frequency violation against itself.
     pending_joins: VecDeque<(ConnId, PublicKey)>,
     next_req_id: u32,
-    deferred: VecDeque<Inbound>,
+    outstanding: Option<Outstanding>,
     cycles_run: u64,
     shutdown: bool,
     /// A `CtrlFault` spec awaiting its cycle boundary, with the cycle it
@@ -148,7 +165,7 @@ impl Daemon {
             last_join_attempt: None,
             pending_joins: VecDeque::new(),
             next_req_id: 1,
-            deferred: VecDeque::new(),
+            outstanding: None,
             cycles_run: 0,
             shutdown: false,
             pending_fault: None,
@@ -213,16 +230,6 @@ impl Daemon {
         cycle * self.cfg.secure.ticks_per_cycle
     }
 
-    /// Whether the node currently holds a usable view.
-    pub fn joined(&self) -> bool {
-        self.joined
-    }
-
-    /// Read access for tests and the status report.
-    pub fn node(&self) -> &SecureCyclonNode {
-        &self.node
-    }
-
     /// Runs until `--run-cycles` completes or a shutdown frame arrives.
     ///
     /// With `--stop-cycle n`, the daemon stops *firing* turns once the
@@ -230,40 +237,15 @@ impl Daemon {
     /// and control scrapes (up to `--linger-ms`): every member of a
     /// cluster stops at the same boundary, so a harness can scrape a
     /// quiescent network — no descriptor is ever in flight between two
-    /// scrapes — before shutting the processes down.
+    /// scrapes — before shutting the processes down. Both exits, and
+    /// every fault-spec change, wait for an outstanding exchange to end.
     pub fn run(&mut self) -> RunSummary {
         let started = Instant::now();
         let mut stopped_at: Option<Instant> = None;
         while !self.shutdown {
-            if self.cfg.run_cycles > 0 && self.cycles_run >= self.cfg.run_cycles {
+            self.poll_exchange();
+            if self.outstanding.is_none() && !self.between_turns(&mut stopped_at) {
                 break;
-            }
-            self.apply_pending_fault();
-            let stopping = self.cfg.stop_cycle > 0 && self.current_cycle() >= self.cfg.stop_cycle;
-            if stopping {
-                let since = *stopped_at.get_or_insert_with(Instant::now);
-                if since.elapsed() >= Duration::from_millis(self.cfg.linger_ms) {
-                    break;
-                }
-            } else if !self.joined {
-                self.try_join(self.current_cycle());
-            } else if let Some(due) = self.due_turn_cycle() {
-                if self.last_fired.is_none_or(|c| due > c) {
-                    if let Some(last) = self.last_fired {
-                        // §IV-B allows one emission per period — a node
-                        // that fell behind the shared clock (or was cut
-                        // off by a partition) never back-fills missed
-                        // turns, it just counts them.
-                        self.turns_skipped += due - last - 1;
-                    }
-                    self.grant_pending_join(due);
-                    self.fire_turn(due);
-                    self.last_fired = Some(due);
-                    self.cycles_run += 1;
-                    while let Some(ib) = self.deferred.pop_front() {
-                        self.handle(ib);
-                    }
-                }
             }
             if let Some(ib) = self.transport.recv(Duration::from_millis(2)) {
                 self.handle(ib);
@@ -272,9 +254,41 @@ impl Daemon {
         RunSummary {
             cycles_run: self.cycles_run,
             elapsed_secs: started.elapsed().as_secs_f64(),
-            stats: self.stats(),
+            stats: self.node.stats(),
             transport: self.transport.stats(),
         }
+    }
+
+    /// The loop's work while no exchange is outstanding: exits, fault-spec
+    /// changes, joining, and the next due turn. `false` ends the run.
+    fn between_turns(&mut self, stopped_at: &mut Option<Instant>) -> bool {
+        if self.cfg.run_cycles > 0 && self.cycles_run >= self.cfg.run_cycles {
+            return false;
+        }
+        self.apply_pending_fault();
+        if self.cfg.stop_cycle > 0 && self.current_cycle() >= self.cfg.stop_cycle {
+            let since = *stopped_at.get_or_insert_with(Instant::now);
+            return since.elapsed() < Duration::from_millis(self.cfg.linger_ms);
+        }
+        if !self.joined {
+            self.try_join(self.current_cycle());
+            return true;
+        }
+        let due = self.due_turn_cycle();
+        let Some(due) = due.filter(|&d| self.last_fired.is_none_or(|c| d > c)) else {
+            return true;
+        };
+        if let Some(last) = self.last_fired {
+            // §IV-B allows one emission per period — a node that fell
+            // behind the shared clock (or was cut off by a partition)
+            // never back-fills missed turns, it just counts them.
+            self.turns_skipped += due - last - 1;
+        }
+        self.grant_pending_join(due);
+        self.last_fired = Some(due);
+        let first = self.node.begin_turn(due, self.now_ticks(due));
+        self.advance(due, first);
+        true
     }
 
     /// Installs a pending `CtrlFault` spec once the clock leaves the
@@ -288,23 +302,62 @@ impl Daemon {
         }
     }
 
-    /// One active gossip turn through the engine-targeted protocol code.
-    fn fire_turn(&mut self, cycle: u64) {
-        let mut io = TurnIo {
-            transport: &mut self.transport,
-            deferred: &mut self.deferred,
-            next_req_id: &mut self.next_req_id,
-            retransmits: &mut self.retransmits,
-            self_addr: self.cfg.addr,
-            cycle,
-            now: cycle * self.cfg.secure.ticks_per_cycle,
-            tpc: self.cfg.secure.ticks_per_cycle,
-            rpc_timeout: self.cfg.rpc_timeout,
-            rpc_retransmits: self.cfg.rpc_retransmits,
-            cfg: &self.cfg,
+    /// Sends the exchange's next message and leaves it outstanding, or
+    /// closes the turn for `cycle` once the node has nothing more to send.
+    /// A message that cannot be handed to the OS counts as a timeout.
+    fn advance(&mut self, cycle: u64, mut next: Option<(Addr, SecureMsg)>) {
+        while let Some((to, msg)) = next {
+            let mut frame = Frame::new(FrameKind::Request, self.cfg.addr, encode(&msg));
+            frame.req_id = self.next_req_id;
+            self.next_req_id = self.next_req_id.wrapping_add(1).max(1);
+            if self.transport.send_to(to, &frame) {
+                let now = Instant::now();
+                self.outstanding = Some(Outstanding {
+                    cycle,
+                    to,
+                    frame,
+                    deadline: now + self.cfg.rpc_timeout,
+                    next_resend: now + self.resend_slice(),
+                    resends_left: self.cfg.rpc_retransmits,
+                });
+                return;
+            }
+            next = self.node.on_exchange_reply(None);
+        }
+        let sends = self.node.end_turn(cycle);
+        self.send_oneways(sends);
+        self.cycles_run += 1;
+    }
+
+    /// Times out or retransmits the outstanding request. The deadline
+    /// splits into retransmit slices: an unanswered request is resent
+    /// byte-identically (same req_id, same descriptor) at each slice
+    /// boundary. Never a re-emission — the §IV-B frequency rule forbids a
+    /// second descriptor per period — and the responder's reply cache
+    /// keeps duplicates idempotent.
+    fn poll_exchange(&mut self) {
+        let slice = self.resend_slice();
+        let Some(out) = self.outstanding.as_mut() else {
+            return;
         };
-        let mut ctx = CycleCtx::<SecureCyclonNode>::driven(self.cfg.addr, &mut io);
-        self.node.on_cycle_any(&mut ctx);
+        let now = Instant::now();
+        if now >= out.deadline {
+            let cycle = out.cycle;
+            self.outstanding = None;
+            let next = self.node.on_exchange_reply(None);
+            self.advance(cycle, next);
+        } else if out.resends_left > 0 && now >= out.next_resend {
+            out.resends_left -= 1;
+            out.next_resend = now + slice;
+            if self.transport.send_to(out.to, &out.frame) {
+                self.retransmits += 1;
+            }
+        }
+    }
+
+    /// Time between retransmissions of an unanswered request.
+    fn resend_slice(&self) -> Duration {
+        self.cfg.rpc_timeout / (self.cfg.rpc_retransmits + 1)
     }
 
     /// Sends (at most once per cycle) a join request to the sponsor.
@@ -334,18 +387,12 @@ impl Daemon {
             return; // budget already spent; joiner retries
         };
         let proofs = self.node.export_proofs();
-        let mut payload = Vec::new();
-        payload.extend_from_slice(&cycle.to_be_bytes());
-        wire::encode_descriptor(&desc, &mut payload);
-        payload.extend_from_slice(&(proofs.len() as u16).to_be_bytes());
-        for p in &proofs {
-            wire::encode_proof(p, &mut payload);
-        }
+        let payload = encode_join_grant(desc, &proofs, &self.cfg.wire_limits);
         let f = Frame::new(FrameKind::JoinGrant, self.cfg.addr, payload);
         self.transport.respond(conn, &f);
     }
 
-    /// Dispatches one inbound frame outside a turn.
+    /// Dispatches one inbound frame.
     fn handle(&mut self, ib: Inbound) {
         let cycle = self.current_cycle();
         let period = self.cfg.secure.ticks_per_cycle;
@@ -374,18 +421,14 @@ impl Daemon {
                     let (reply, floods) = with_node_ctx(cycle, period, self.cfg.addr, |ctx| {
                         self.node.on_rpc_any(from, msg, ctx)
                     });
-                    self.flood(floods);
+                    self.send_oneways(floods);
                     reply
                 } else {
                     None
                 };
                 // An explicit empty reply lets the initiator observe
                 // "no answer" without waiting out its RPC timeout.
-                let payload = reply.map_or_else(Vec::new, |m| {
-                    let mut out = Vec::new();
-                    wire::encode_message(&m, &mut out);
-                    out
-                });
+                let payload = reply.as_ref().map_or_else(Vec::new, encode);
                 if ib.frame.req_id != 0 {
                     if self.reply_cache.len() >= REPLY_CACHE_CAP {
                         self.reply_cache.pop_front();
@@ -410,7 +453,7 @@ impl Daemon {
                 let ((), floods) = with_node_ctx(cycle, period, self.cfg.addr, |ctx| {
                     self.node.on_oneway_any(ib.frame.from, msg, ctx)
                 });
-                self.flood(floods);
+                self.send_oneways(floods);
             }
             FrameKind::JoinRequest => {
                 if ib.frame.payload.len() != PUBLIC_KEY_LEN {
@@ -435,7 +478,7 @@ impl Daemon {
                 if self.joined {
                     return;
                 }
-                if let Ok((desc, proofs)) =
+                if let Some((desc, proofs)) =
                     decode_join_grant(&ib.frame.payload, period, &self.cfg.wire_limits)
                 {
                     if self.node.accept_sponsorship(desc, cycle) {
@@ -464,19 +507,30 @@ impl Daemon {
                 f.req_id = ib.frame.req_id;
                 self.transport.respond(ib.conn, &f);
             }
-            FrameKind::Reply | FrameKind::CtrlStatusReply | FrameKind::CtrlFaultReply => {
-                // Stale RPC replies (their turn already timed out) and
-                // misdirected control traffic are dropped.
+            FrameKind::Reply => {
+                // Stale replies (their request already timed out) are
+                // dropped. An empty payload is the responder's explicit
+                // "no answer" and, like an undecodable one, a timeout.
+                let req_id = ib.frame.req_id;
+                let Some(out) = self.outstanding.take_if(|o| o.frame.req_id == req_id) else {
+                    return;
+                };
+                let reply =
+                    wire::decode_message_with(&ib.frame.payload, period, &self.cfg.wire_limits)
+                        .ok();
+                let next = self.node.on_exchange_reply(reply);
+                self.advance(out.cycle, next);
+            }
+            FrameKind::CtrlStatusReply | FrameKind::CtrlFaultReply => {
+                // Misdirected control traffic is dropped.
             }
         }
     }
 
-    /// Sends queued proof floods as one-way frames.
-    fn flood(&mut self, msgs: Vec<(Addr, SecureMsg)>) {
+    /// Sends one-way messages (proof floods, rejoin pings) as frames.
+    fn send_oneways(&mut self, msgs: Vec<(Addr, SecureMsg)>) {
         for (to, msg) in msgs {
-            let mut payload = Vec::new();
-            wire::encode_message(&msg, &mut payload);
-            let f = Frame::new(FrameKind::Oneway, self.cfg.addr, payload);
+            let f = Frame::new(FrameKind::Oneway, self.cfg.addr, encode(&msg));
             self.transport.send_to(to, &f);
         }
     }
@@ -498,139 +552,74 @@ impl Daemon {
             reserve: self.node.reserve().cloned().collect(),
             blacklist: self.node.blacklist().culprits().copied().collect(),
             redemptions: self.node.redemption_count(),
-            stats: self.stats(),
+            stats: self.node.stats(),
             transport: self.transport.stats(),
             retransmits: self.retransmits,
             turns_skipped: self.turns_skipped,
         }
     }
-
-    /// Protocol counters. §VI-A byte accounting now lives in the node
-    /// itself ([`sc_core::SecureStats::bytes_sent`]), metered at every
-    /// message site, so daemon and simulator report identically.
-    fn stats(&self) -> sc_core::SecureStats {
-        self.node.stats()
-    }
 }
 
-/// Parses a join grant: `cycle (8) | descriptor | n (2) | proofs`.
+/// Encodes a protocol message as a frame payload.
+fn encode(msg: &SecureMsg) -> Vec<u8> {
+    let mut out = Vec::new();
+    wire::encode_message(msg, &mut out);
+    out
+}
+
+/// Builds a join grant: the in-protocol [`SecureMsg::JoinGrant`] with at
+/// most [`wire::WireLimits::max_proofs`] proofs, newest first, so a
+/// sponsor holding more still admits joiners and the count never wraps.
+fn encode_join_grant(
+    descriptor: SecureDescriptor,
+    proofs: &[ViolationProof],
+    limits: &wire::WireLimits,
+) -> Vec<u8> {
+    let newest = proofs.iter().rev().take(limits.max_proofs);
+    let proofs = newest.cloned().collect();
+    encode(&SecureMsg::JoinGrant(Box::new(JoinGrantBody {
+        descriptor,
+        proofs,
+    })))
+}
+
+/// Parses a join grant built by [`encode_join_grant`].
 fn decode_join_grant(
     buf: &[u8],
     period: u64,
     limits: &wire::WireLimits,
-) -> Result<(sc_core::SecureDescriptor, Vec<sc_core::ViolationProof>), WireError> {
-    if buf.len() < 8 {
-        return Err(WireError::UnexpectedEnd);
+) -> Option<(SecureDescriptor, Vec<ViolationProof>)> {
+    match wire::decode_message_with(buf, period, limits) {
+        Ok(SecureMsg::JoinGrant(body)) => Some((body.descriptor, body.proofs)),
+        _ => None,
     }
-    let mut pos = 8; // sponsor cycle: informational; the clock is shared
-    let (desc, used) = wire::decode_descriptor_with(&buf[pos..], limits)?;
-    pos += used;
-    if buf.len() < pos + 2 {
-        return Err(WireError::UnexpectedEnd);
-    }
-    let n = u16::from_be_bytes([buf[pos], buf[pos + 1]]) as usize;
-    pos += 2;
-    if n > limits.max_proofs {
-        return Err(WireError::TooManyProofs(n as u16));
-    }
-    let mut proofs = Vec::with_capacity(n.min(1024));
-    for _ in 0..n {
-        let (p, used) = wire::decode_proof_with(&buf[pos..], period, limits)?;
-        pos += used;
-        proofs.push(p);
-    }
-    Ok((desc, proofs))
 }
 
-/// Carries one turn's RPCs and sends over the transport; frames that are
-/// not the awaited reply are deferred to after the turn.
-struct TurnIo<'a> {
-    transport: &'a mut FaultTransport<TcpTransport>,
-    deferred: &'a mut VecDeque<Inbound>,
-    next_req_id: &'a mut u32,
-    retransmits: &'a mut u64,
-    self_addr: Addr,
-    cycle: u64,
-    now: u64,
-    tpc: u64,
-    rpc_timeout: Duration,
-    rpc_retransmits: u32,
-    cfg: &'a NodeConfig,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sc_core::Timestamp;
+    use sc_crypto::{Keypair, Scheme};
 
-impl TurnDriver<SecureMsg> for TurnIo<'_> {
-    fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn ticks_per_cycle(&self) -> u64 {
-        self.tpc
-    }
-
-    fn rpc(&mut self, to: Addr, msg: SecureMsg) -> RpcOutcome<SecureMsg> {
-        let req_id = *self.next_req_id;
-        *self.next_req_id = self.next_req_id.wrapping_add(1).max(1);
-        let mut payload = Vec::new();
-        wire::encode_message(&msg, &mut payload);
-        let mut f = Frame::new(FrameKind::Request, self.self_addr, payload);
-        f.req_id = req_id;
-        if !self.transport.send_to(to, &f) {
-            return RpcOutcome::Timeout;
-        }
-        // The deadline splits into retransmit slices: an unanswered
-        // request is resent byte-identically (same req_id, same
-        // descriptor) at each slice boundary. Never a re-emission — the
-        // §IV-B frequency rule forbids a second descriptor per period —
-        // and the responder's reply cache keeps duplicates idempotent.
-        let start = Instant::now();
-        let deadline = start + self.rpc_timeout;
-        let slice = self.rpc_timeout / (self.rpc_retransmits + 1);
-        let mut resends_left = self.rpc_retransmits;
-        let mut next_resend = start + slice;
-        loop {
-            let now = Instant::now();
-            let left = deadline.saturating_duration_since(now);
-            if left.is_zero() {
-                return RpcOutcome::Timeout;
-            }
-            if resends_left > 0 && now >= next_resend {
-                resends_left -= 1;
-                next_resend = now + slice;
-                if self.transport.send_to(to, &f) {
-                    *self.retransmits += 1;
-                }
-            }
-            let Some(ib) = self.transport.recv(left.min(Duration::from_millis(2))) else {
-                continue;
-            };
-            if ib.frame.kind == FrameKind::Reply {
-                if ib.frame.req_id != req_id {
-                    continue; // stale reply from a timed-out earlier RPC
-                }
-                if ib.frame.payload.is_empty() {
-                    return RpcOutcome::Timeout; // explicit no-answer
-                }
-                return match wire::decode_message_with(
-                    &ib.frame.payload,
-                    self.tpc,
-                    &self.cfg.wire_limits,
-                ) {
-                    Ok(m) => RpcOutcome::Reply(m),
-                    Err(_) => RpcOutcome::Timeout,
-                };
-            }
-            self.deferred.push_back(ib);
-        }
-    }
-
-    fn send(&mut self, to: Addr, msg: SecureMsg) {
-        let mut payload = Vec::new();
-        wire::encode_message(&msg, &mut payload);
-        let f = Frame::new(FrameKind::Oneway, self.self_addr, payload);
-        self.transport.send_to(to, &f);
+    #[test]
+    fn join_grant_keeps_the_newest_proofs_within_the_decode_cap() {
+        const PERIOD: u64 = 1_000;
+        let culprit = Keypair::from_seed(Scheme::KeyedHash, [7; 32]);
+        let at = |t| SecureDescriptor::create(&culprit, 1, Timestamp(t));
+        let limits = wire::WireLimits::DEFAULT;
+        let proofs: Vec<ViolationProof> = (0..=limits.max_proofs as u64)
+            .map(|i| {
+                let t = i * 10 * PERIOD;
+                ViolationProof::frequency(at(t), at(t + PERIOD / 2), PERIOD).unwrap()
+            })
+            .collect();
+        let desc = at(0);
+        let buf = encode_join_grant(desc.clone(), &proofs, &limits);
+        let (got_desc, got) = decode_join_grant(&buf, PERIOD, &limits).expect("grant decodes");
+        assert_eq!(got_desc, desc);
+        assert_eq!(got.len(), limits.max_proofs);
+        // Newest first; the oldest proof is the one left out.
+        assert_eq!(got[0], proofs[1024]);
+        assert_eq!(got[1023], proofs[1]);
     }
 }

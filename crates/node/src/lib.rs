@@ -14,8 +14,9 @@
 //!   (seeded drop/delay/duplication, partitions, resets, throttling).
 //! * [`control`] — the control-socket status protocol test harnesses
 //!   scrape live state through.
-//! * [`daemon`] — the event loop: clock-driven gossip cycles, blocking
-//!   RPC turns, the §V-A bootstrap/sponsorship join handshake.
+//! * [`daemon`] — the event loop: clock-driven gossip cycles, exchanges
+//!   driven from frames while other traffic is served, the §V-A
+//!   bootstrap/sponsorship join handshake.
 //! * [`config`] — daemon configuration and the flag parser the `sc-node`
 //!   binary uses.
 

@@ -21,9 +21,9 @@
 //! protocol invariants, never exact trajectories.
 
 use sc_core::wire;
-use sc_core::{RequestBody, SecureDescriptor, SecureMsg, Timestamp};
+use sc_core::{FaultSpec, RequestBody, SecureDescriptor, SecureMsg, Timestamp};
 use sc_crypto::{Keypair, Scheme};
-use sc_node::{Frame, FrameKind, StatusReport};
+use sc_node::{ControlClient, Frame, FrameKind, StatusReport};
 use sc_sim::Addr;
 use sc_testkit::live::{check_final, drive, env_seed};
 use sc_testkit::{ClusterConfig, ProcessCluster};
@@ -414,6 +414,68 @@ fn loopback_crash_restart_recovers_from_state_dir() {
         },
     );
     let _ = std::fs::remove_dir_all(&state_dir);
+}
+
+/// A member whose own exchanges never get an answer keeps serving
+/// everyone else. Its inbound gossip is dropped (`drop_in = 1.0`), so
+/// every turn waits out the full 1 s RPC deadline, two thirds of each
+/// 1.5 s cycle. A control probe must still be answered within a few poll
+/// passes rather than when that deadline expires.
+#[test]
+fn loopback_busy_initiator_stays_responsive() {
+    let seed = env_seed();
+    let replay = replay_line(seed, " loopback_busy_initiator_stays_responsive");
+    println!("replay: {replay}");
+
+    let mut cfg = ClusterConfig::quick(8, seed);
+    cfg.rpc_timeout_ms = 1000;
+    cfg.cycle_ms = 1500;
+    let start = cfg.view_len as u64;
+    let cluster = ProcessCluster::launch(bin(), cfg).expect("spawn cluster");
+    assert!(
+        cluster.wait_cycle(start, Duration::from_secs(20)),
+        "cluster never joined\n  replay: {replay}"
+    );
+    let victim = cluster.addrs()[0];
+    let deaf = FaultSpec {
+        drop_in: 1.0,
+        ..FaultSpec::default()
+    };
+    assert!(
+        cluster.set_fault(victim, &deaf),
+        "fault spec not acknowledged\n  replay: {replay}"
+    );
+
+    let timeout = Duration::from_secs(3);
+    let mut rtts = Vec::new();
+    let until = Instant::now() + Duration::from_secs(8);
+    while Instant::now() < until {
+        let t0 = Instant::now();
+        let answered = ControlClient::connect(victim, timeout)
+            .and_then(|mut c| c.status(timeout))
+            .is_ok();
+        let rtt = t0.elapsed();
+        assert!(answered, "victim stopped answering\n  replay: {replay}");
+        rtts.push(rtt);
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let stats = cluster.status_of(victim).expect("final victim status");
+    rtts.sort();
+    let worst = *rtts.last().unwrap();
+    println!(
+        "loopback-busy: {} probes, p50 {:?}, max {worst:?}, victim timeouts {}",
+        rtts.len(),
+        rtts[rtts.len() / 2],
+        stats.stats.timeouts,
+    );
+    assert!(
+        stats.stats.timeouts > 0,
+        "the victim never waited out an exchange\n  replay: {replay}"
+    );
+    assert!(
+        worst < Duration::from_millis(250),
+        "slowest control probe took {worst:?} (bound 250 ms)\n  replay: {replay}"
+    );
 }
 
 #[test]

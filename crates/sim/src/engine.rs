@@ -107,31 +107,6 @@ pub trait SimNode: Sized {
     fn on_oneway(&mut self, from: Addr, msg: Self::Msg, ctx: &mut NodeCtx<'_, Self::Msg>);
 }
 
-/// Outcome of a synchronous RPC, as observed by the initiator.
-///
-/// A real node cannot distinguish *why* no response arrived (dead target,
-/// lost request, lost response, or an uncooperative peer), so all of those
-/// collapse into [`RpcOutcome::Timeout`]. Protocol code must handle the
-/// uncertainty — in SecureCyclon, by discarding sent descriptors rather
-/// than risking a cloning accusation (§V-A, case 2).
-#[derive(Debug)]
-pub enum RpcOutcome<M> {
-    /// The response from the target.
-    Reply(M),
-    /// No response arrived.
-    Timeout,
-}
-
-impl<M> RpcOutcome<M> {
-    /// Converts into an `Option`, mapping `Timeout` to `None`.
-    pub fn into_reply(self) -> Option<M> {
-        match self {
-            RpcOutcome::Reply(m) => Some(m),
-            RpcOutcome::Timeout => None,
-        }
-    }
-}
-
 /// An in-flight one-way message.
 #[derive(Debug, Clone)]
 struct Envelope<M> {
@@ -614,34 +589,34 @@ struct RpcPath<'a, N: SimNode> {
 }
 
 impl<N: SimNode> RpcPath<'_, N> {
-    fn execute(self, from: Addr, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
+    fn execute(self, from: Addr, to: Addr, msg: N::Msg) -> Option<N::Msg> {
         self.stats.rpcs_sent += 1;
         if to == from {
             // A node never gossips with itself; treat as unreachable.
             self.stats.rpcs_unreachable += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         if self.busy.is_some_and(|b| b.contains(&to)) {
             // Target is co-scheduled in the caller's stripe: mid-turn for
             // scheduling purposes, deterministically unreachable.
             self.stats.rpcs_unreachable += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         // A partition severs the round trip outright: the request never
         // reaches the target (symmetric, so the response could not return
         // either). Checked before any loss roll — see `deliver_pending`.
         if self.net.severs(from, to) {
             self.stats.rpcs_severed += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         if self.net.drop_request > 0.0 && self.rng.gen::<f64>() < self.net.drop_request {
             self.stats.rpcs_request_dropped += 1;
-            return RpcOutcome::Timeout;
+            return None;
         }
         let Some(mut node) = self.arena.take(to) else {
             // Dead, never allocated, or mid-turn: unreachable.
             self.stats.rpcs_unreachable += 1;
-            return RpcOutcome::Timeout;
+            return None;
         };
         let mut ctx = NodeCtx {
             pending: self.out,
@@ -653,37 +628,19 @@ impl<N: SimNode> RpcPath<'_, N> {
         match reply {
             None => {
                 self.stats.rpcs_refused += 1;
-                RpcOutcome::Timeout
+                None
             }
             Some(resp) => {
                 if self.net.drop_response > 0.0 && self.rng.gen::<f64>() < self.net.drop_response {
                     self.stats.rpcs_response_dropped += 1;
-                    RpcOutcome::Timeout
+                    None
                 } else {
                     self.stats.rpcs_completed += 1;
-                    RpcOutcome::Reply(resp)
+                    Some(resp)
                 }
             }
         }
     }
-}
-
-/// Supplies a node's turn with a clock and message paths from outside the
-/// engine — the hook a real transport (e.g. a socket daemon) implements to
-/// reuse engine-targeted protocol code unchanged. See
-/// [`CycleCtx::driven`].
-pub trait TurnDriver<M> {
-    /// The current cycle number.
-    fn cycle(&self) -> u64;
-    /// The tick at which the current cycle starts.
-    fn now(&self) -> u64;
-    /// Tick resolution of one cycle.
-    fn ticks_per_cycle(&self) -> u64;
-    /// Performs a synchronous RPC; all failure modes collapse into
-    /// [`RpcOutcome::Timeout`], exactly as in the engine.
-    fn rpc(&mut self, to: Addr, msg: M) -> RpcOutcome<M>;
-    /// Queues a one-way message for asynchronous delivery.
-    fn send(&mut self, to: Addr, msg: M);
 }
 
 /// Context handed to a node during its cycle turn. Supports synchronous
@@ -698,8 +655,6 @@ enum CtxInner<'e, N: SimNode> {
     Seq(&'e mut Engine<N>),
     /// Striped mode: gated access to the shared stripe state.
     Striped(StripedCtx<'e, N>),
-    /// Driven mode: clock and transport supplied by an external driver.
-    Driven(&'e mut dyn TurnDriver<N::Msg>),
 }
 
 struct StripedCtx<'e, N: SimNode> {
@@ -712,63 +667,33 @@ struct StripedCtx<'e, N: SimNode> {
     buf: &'e mut Vec<Envelope<N::Msg>>,
 }
 
-impl<'e, N: SimNode> CycleCtx<'e, N> {
-    /// Builds a context backed by an external [`TurnDriver`] instead of an
-    /// engine, so daemon code can run `SimNode`-targeted protocol logic
-    /// over a real transport.
-    pub fn driven(self_addr: Addr, driver: &'e mut dyn TurnDriver<N::Msg>) -> Self {
-        CycleCtx {
-            self_addr,
-            inner: CtxInner::Driven(driver),
-        }
-    }
-}
-
 impl<N: SimNode> CycleCtx<'_, N> {
-    /// The address of the node taking its turn.
-    pub fn self_addr(&self) -> Addr {
-        self.self_addr
-    }
-
     /// The current cycle number.
     pub fn cycle(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Driven(d) => d.cycle(),
-            _ => self.clock_ref().cycle(),
-        }
+        self.clock_ref().cycle()
     }
 
     /// The tick at which the current cycle starts.
     pub fn now(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Driven(d) => d.now(),
-            _ => self.clock_ref().now(),
-        }
-    }
-
-    /// Tick resolution of one cycle (the gossip period, in ticks).
-    pub fn ticks_per_cycle(&self) -> u64 {
-        match &self.inner {
-            CtxInner::Driven(d) => d.ticks_per_cycle(),
-            _ => self.clock_ref().ticks_per_cycle(),
-        }
+        self.clock_ref().now()
     }
 
     fn clock_ref(&self) -> &Clock {
         match &self.inner {
             CtxInner::Seq(engine) => &engine.clock,
             CtxInner::Striped(sc) => &sc.clock,
-            CtxInner::Driven(_) => unreachable!("driven contexts bypass the engine clock"),
         }
     }
 
-    /// Performs a synchronous RPC to `to`.
+    /// Performs a synchronous RPC to `to`; `None` means no reply came.
     ///
-    /// All failure modes (dead target, lost request, lost response,
-    /// uncooperative peer, target co-scheduled in the caller's stripe)
-    /// surface uniformly as [`RpcOutcome::Timeout`]; see the type docs
-    /// for why.
-    pub fn rpc(&mut self, to: Addr, msg: N::Msg) -> RpcOutcome<N::Msg> {
+    /// A real node cannot tell *why* no response arrived (dead target,
+    /// lost request, lost response, uncooperative peer, target
+    /// co-scheduled in the caller's stripe), so all of those surface
+    /// alike. Protocol code must handle the uncertainty — in SecureCyclon,
+    /// by discarding sent descriptors rather than risking a cloning
+    /// accusation (§V-A, case 2).
+    pub fn rpc(&mut self, to: Addr, msg: N::Msg) -> Option<N::Msg> {
         let from = self.self_addr;
         match &mut self.inner {
             CtxInner::Seq(engine) => {
@@ -802,26 +727,19 @@ impl<N: SimNode> CycleCtx<'_, N> {
                 }
                 .execute(from, to, msg)
             }
-            CtxInner::Driven(d) => d.rpc(to, msg),
         }
     }
 
     /// Queues a one-way message for delivery at the start of the next cycle.
     pub fn send(&mut self, to: Addr, msg: N::Msg) {
+        let env = Envelope {
+            from: self.self_addr,
+            to,
+            msg,
+        };
         match &mut self.inner {
-            CtxInner::Driven(d) => d.send(to, msg),
-            inner => {
-                let env = Envelope {
-                    from: self.self_addr,
-                    to,
-                    msg,
-                };
-                match inner {
-                    CtxInner::Seq(engine) => engine.pending.push(env),
-                    CtxInner::Striped(sc) => sc.buf.push(env),
-                    CtxInner::Driven(_) => unreachable!(),
-                }
-            }
+            CtxInner::Seq(engine) => engine.pending.push(env),
+            CtxInner::Striped(sc) => sc.buf.push(env),
         }
     }
 }
@@ -836,11 +754,6 @@ pub struct NodeCtx<'e, M> {
 }
 
 impl<M> NodeCtx<'_, M> {
-    /// The address of the handling node.
-    pub fn self_addr(&self) -> Addr {
-        self.self_addr
-    }
-
     /// The current cycle number.
     pub fn cycle(&self) -> u64 {
         self.clock.cycle()
@@ -849,11 +762,6 @@ impl<M> NodeCtx<'_, M> {
     /// The tick at which the current cycle starts.
     pub fn now(&self) -> u64 {
         self.clock.now()
-    }
-
-    /// Tick resolution of one cycle.
-    pub fn ticks_per_cycle(&self) -> u64 {
-        self.clock.ticks_per_cycle()
     }
 
     /// Queues a one-way message for delivery at the start of the next cycle.
@@ -891,7 +799,7 @@ mod tests {
 
         fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
             let target = (self.addr + 1) % self.n;
-            if let RpcOutcome::Reply(ToyMsg::Pong(answered)) = ctx.rpc(target, ToyMsg::Ping) {
+            if let Some(ToyMsg::Pong(answered)) = ctx.rpc(target, ToyMsg::Ping) {
                 assert!(answered >= 1, "responder counts its own answer first");
                 self.replies_got += 1;
             }
@@ -1151,8 +1059,8 @@ mod tests {
 
         fn on_cycle(&mut self, ctx: &mut CycleCtx<'_, Self>) {
             match ctx.rpc(self.rpc_to, 1) {
-                RpcOutcome::Reply(_) => self.rpc_replies += 1,
-                RpcOutcome::Timeout => self.rpc_timeouts += 1,
+                Some(_) => self.rpc_replies += 1,
+                None => self.rpc_timeouts += 1,
             }
             ctx.send(self.oneway_to, 2);
         }

@@ -9,7 +9,7 @@
 //!   is alive then, and never arrives twice.
 
 use proptest::prelude::*;
-use sc_sim::{Addr, Arena, CycleCtx, Engine, NodeCtx, RpcOutcome, SimConfig, SimNode};
+use sc_sim::{Addr, Arena, CycleCtx, Engine, NodeCtx, SimConfig, SimNode};
 use std::collections::HashSet;
 
 // ---------------------------------------------------------------------
@@ -106,8 +106,8 @@ impl SimNode for Courier {
         let cycle = ctx.cycle();
         let rpc_to = self.rpc_target(cycle);
         match ctx.rpc(rpc_to, CourierMsg::Ping) {
-            RpcOutcome::Reply(_) => self.rpc_replies.push((rpc_to, cycle)),
-            RpcOutcome::Timeout => self.rpc_timeouts.push((rpc_to, cycle)),
+            Some(_) => self.rpc_replies.push((rpc_to, cycle)),
+            None => self.rpc_timeouts.push((rpc_to, cycle)),
         }
         let post_to = self.post_target(cycle);
         ctx.send(post_to, CourierMsg::Post(self.addr, cycle));

@@ -21,6 +21,7 @@ use std::io::Read;
 use std::net::{Ipv4Addr, SocketAddrV4, TcpListener};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// Sizing and timing for a loopback cluster.
@@ -106,6 +107,11 @@ fn unix_ms() -> u64 {
         .unwrap_or(0)
 }
 
+/// Clusters launched by this process so far. Folded into the port search:
+/// tests running in parallel in one process share the seed and the PID,
+/// and would otherwise pick the same block before either cluster binds.
+static LAUNCHES: AtomicU64 = AtomicU64::new(0);
+
 fn port_free(port: Addr) -> bool {
     TcpListener::bind(SocketAddrV4::new(Ipv4Addr::LOCALHOST, port as u16)).is_ok()
 }
@@ -114,8 +120,9 @@ impl ProcessCluster {
     /// Spawns `cfg.n` founding members of a fresh cluster.
     ///
     /// The base port is searched deterministically from the seed (with the
-    /// PID folded in so concurrent test processes diverge), probing until
-    /// a contiguous block of `n + 32` loopback ports binds cleanly.
+    /// PID and a per-process launch count folded in so concurrent clusters
+    /// diverge), probing until a contiguous block of `n + 32` loopback
+    /// ports binds cleanly.
     ///
     /// # Errors
     ///
@@ -124,11 +131,13 @@ impl ProcessCluster {
         let bin = bin.into();
         let want = cfg.n + 32;
         let mut base = 0;
+        let launch = LAUNCHES.fetch_add(1, Ordering::Relaxed);
         for attempt in 0..64u64 {
             let h = cfg
                 .seed
                 .wrapping_mul(0x9e37_79b9)
                 .wrapping_add(std::process::id() as u64)
+                .wrapping_add(launch.wrapping_mul(7919))
                 .wrapping_add(attempt.wrapping_mul(977));
             let candidate = 21_000 + (h % 40_000) as Addr;
             if (candidate..candidate + want as Addr).all(port_free) {

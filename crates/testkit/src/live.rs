@@ -38,8 +38,9 @@ pub fn replay_line(test_file: &str, seed: u64, extra: &str) -> String {
 }
 
 /// Per-scrape oracles that are sound on torn (non-atomic) live snapshots:
-/// each node's report is taken at a turn boundary, so per-node checks
-/// hold exactly; cross-node checks wait for quiescence.
+/// each node's report is taken between two message handlers, so per-node
+/// checks hold exactly; cross-node checks wait for quiescence, since a
+/// report may fall inside an exchange whose transfers are still in flight.
 pub fn per_scrape_oracles() -> OracleConfig {
     OracleConfig {
         warmup: 0,
@@ -125,8 +126,8 @@ pub fn drive(
         std::thread::sleep(Duration::from_millis(200));
     }
     // Slack for in-flight exchanges at the stop boundary to settle, then
-    // scrape the quiescent cluster (retrying: a member may be serving
-    // another RPC at the first attempt).
+    // scrape the quiescent cluster (retrying: a busy machine may miss
+    // the first attempt's control timeout).
     std::thread::sleep(Duration::from_millis(400));
     let deadline = Instant::now() + Duration::from_secs(10);
     let reports = loop {
